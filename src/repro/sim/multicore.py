@@ -1,12 +1,12 @@
 """Multi-core simulation: several replay cores sharing one memory system.
 
 An extension beyond the paper's single-threaded SPEC2006 evaluation:
-``MultiCoreSimulator`` couples N :class:`~repro.cpu.trace_cpu.TraceCpu`
-instances (one trace each) to a single :class:`~repro.sim.system.
-MemorySystem`.  The cores contend for queues, buses and bank tiles —
-the regime where tile-level parallelism should matter most, since a
-multi-programmed mix supplies far more memory-level parallelism than
-one ROB can.
+``MultiCoreSimulator`` runs the :class:`~repro.sim.simulator.Simulator`
+loop with N :class:`~repro.cpu.trace_cpu.TraceCpu` cores (one trace
+each) on its single :class:`~repro.sim.system.MemorySystem`.  The
+cores contend for queues, buses and bank tiles — the regime where
+tile-level parallelism should matter most, since a multi-programmed mix
+supplies far more memory-level parallelism than one ROB can.
 
 The conventional multi-programmed metric is reported:
 **weighted speedup** = sum over cores of IPC_shared / IPC_alone, with
@@ -19,15 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..config.params import SystemConfig
-from ..config.validate import validate_config
-from ..core.energy import EnergyBreakdown, measure_energy
-from ..cpu.trace_cpu import TraceCpu
-from ..errors import SimulationError
+from ..core.energy import EnergyBreakdown
 from ..memsys.stats import StatsCollector
 from ..workloads.record import TraceRecord
 from ..workloads.transform import offset_trace
-from .simulator import simulate
-from .system import MemorySystem
+from .epochs import EpochSample
+from .simulator import Simulator, simulate
 
 
 @dataclass
@@ -41,6 +38,8 @@ class MultiCoreResult:
     stats: StatsCollector
     energy: EnergyBreakdown
     labels: List[str] = field(default_factory=list)
+    #: Per-epoch counter deltas when sim.epoch_cycles is set.
+    epochs: "list[EpochSample] | None" = None
 
     @property
     def throughput_ipc(self) -> float:
@@ -72,8 +71,8 @@ class MultiCoreResult:
         return data
 
 
-class MultiCoreSimulator:
-    """N cores, one memory system, one clock."""
+class MultiCoreSimulator(Simulator):
+    """The shared simulation loop with one core per trace."""
 
     def __init__(
         self,
@@ -83,101 +82,37 @@ class MultiCoreSimulator:
     ):
         if not traces:
             raise ValueError("need at least one trace")
-        validate_config(config)
-        self.config = config
         self.labels = list(labels) if labels else [
             f"core{i}" for i in range(len(traces))
         ]
         if len(self.labels) != len(traces):
             raise ValueError("labels must match trace count")
-        self.stats = StatsCollector()
-        self.system = MemorySystem(config, self.stats)
-        self.cpus = [
-            TraceCpu(
-                config.cpu,
-                trace,
-                self.system,
-                self.stats,
-                config.timing.tck_ns,
-                owner=index,
-            )
-            for index, trace in enumerate(traces)
-        ]
-        self.now = 0
-        self._flush_started = False
+        super().__init__(config, traces)
+
+    def _core_traces(self, traces) -> list:
+        return list(traces)
 
     def run(self) -> MultiCoreResult:
-        sim = self.config.sim
-        last_marker = self._progress_marker()
-        last_progress_cycle = 0
-
-        while True:
-            completed = self.system.tick(self.now)
-            for req in completed:
-                if req.is_read:
-                    self.cpus[req.owner].on_read_completed(1)
-            for cpu in self.cpus:
-                if not cpu.done():
-                    cpu.tick(self.now)
-
-            if all(cpu.done() for cpu in self.cpus):
-                if not self._flush_started:
-                    self.system.begin_flush()
-                    self._flush_started = True
-                if not self.system.busy():
-                    break
-
-            marker = self._progress_marker()
-            if marker != last_marker:
-                last_marker = marker
-                last_progress_cycle = self.now
-            elif self.now - last_progress_cycle > sim.deadlock_cycles:
-                raise SimulationError(
-                    f"multi-core: no progress for {sim.deadlock_cycles} "
-                    f"cycles at {self.now} (config {self.config.name})"
-                )
-
-            self.now = self._next_cycle()
-            if self.now > sim.max_cycles:
-                raise SimulationError(
-                    f"multi-core run exceeded max_cycles "
-                    f"(config {self.config.name})"
-                )
-
-        self.stats.cycles = max(self.now, 1)
+        """Run the shared loop; report it per core."""
+        result = super().run()
         ratio = self.config.cpu.cpu_cycles_per_mem_cycle(
             self.config.timing.tck_ns
         )
-        per_core_ipc = [
-            cpu.instructions_retired / (self.stats.cycles * ratio)
-            for cpu in self.cpus
+        instructions = [
+            cpu.instructions_retired - at_reset
+            for cpu, at_reset in zip(self.cpus, self._warmup_retired)
         ]
         return MultiCoreResult(
             config=self.config,
-            cycles=self.stats.cycles,
-            per_core_instructions=[
-                cpu.instructions_retired for cpu in self.cpus
+            cycles=result.cycles,
+            per_core_instructions=instructions,
+            per_core_ipc=[
+                count / (result.cycles * ratio) for count in instructions
             ],
-            per_core_ipc=per_core_ipc,
-            stats=self.stats,
-            energy=measure_energy(self.config, self.stats),
+            stats=result.stats,
+            energy=result.energy,
             labels=self.labels,
-        )
-
-    def _next_cycle(self) -> int:
-        naive = self.now + 1
-        if not all(cpu.done() or cpu.fully_stalled() for cpu in self.cpus):
-            return naive
-        horizon = self.system.next_event_after(self.now)
-        if horizon is None:
-            return naive
-        return max(naive, horizon)
-
-    def _progress_marker(self) -> tuple:
-        return (
-            self.stats.instructions,
-            self.system.commands_issued(),
-            self.system.pending,
+            epochs=result.epochs,
         )
 
 

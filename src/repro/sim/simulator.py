@@ -1,20 +1,21 @@
 """The simulation main loop.
 
-Couples one :class:`~repro.cpu.trace_cpu.TraceCpu` to one
-:class:`~repro.memsys.controller.MemoryController` on a shared integer
-clock of memory cycles.  The loop is event-driven: every iteration the
-clock jumps to ``min(next CPU-visible event, next controller event)``.
-A runnable CPU's next event is the very next cycle, so execution phases
-step cycle-by-cycle; whenever the CPU is blocked on memory (or has
+Couples N :class:`~repro.cpu.trace_cpu.TraceCpu` cores (one for a
+plain run, one per trace for :mod:`~repro.sim.multicore`) to one
+:class:`~repro.sim.system.MemorySystem` on a shared integer clock of
+memory cycles.  The loop is event-driven: every iteration the clock
+jumps to ``min(next CPU-visible event, next controller event)``.  A
+runnable core's next event is the very next cycle, so execution phases
+step cycle-by-cycle; whenever every core is blocked on memory (or has
 finished and only the write drain remains), the clock jumps straight to
 the controller's next completion or earliest-issuable cycle — a large
 win given PCM's 60-cycle write pulses.  The set of simulated cycles is
 identical either way, which is what keeps results bit-identical to an
 unskipped run (see docs/performance.md, "Hot-path architecture").
 
-End of run: the trace is fully retired, the controller has drained every
-queued write (a flush is forced once the CPU finishes), and no transfer
-is in flight.
+End of run: every trace is fully retired, the controller has drained
+every queued write (a flush is forced once the last core finishes), and
+no transfer is in flight.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class SimResult:
 
 
 class Simulator:
-    """One CPU + one memory system, run to completion."""
+    """Cores + one memory system, run to completion on one clock."""
 
     def __init__(self, config: SystemConfig, trace: Iterable[TraceRecord],
                  probe: "Probe | None" = None,
@@ -92,19 +93,20 @@ class Simulator:
         self.controller = MemorySystem(config, self.stats, probe=self.probe,
                                        profiler=self.profiler,
                                        tracer=self.tracer)
-        self.cpu = TraceCpu(
-            config.cpu,
-            trace,
-            self.controller,
-            self.stats,
-            config.timing.tck_ns,
-            probe=self.probe,
-            profiler=self.profiler,
-        )
+        self.cpus = [
+            TraceCpu(config.cpu, core_trace, self.controller, self.stats,
+                     config.timing.tck_ns, owner=owner, probe=self.probe,
+                     profiler=self.profiler)
+            for owner, core_trace in enumerate(self._core_traces(trace))
+        ]
+        #: Cores not yet done, in core order: the only ones ticked.
+        self._active = [cpu for cpu in self.cpus if not cpu.done()]
         self.now = 0
         self._flush_started = False
         self._warmup_left = config.sim.warmup_requests
         self._warmup_cycle = 0
+        #: Each core's retired count when warm-up ended.
+        self._warmup_retired = [0] * len(self.cpus)
         self._epochs = (
             EpochRecorder(self.stats, config.sim.epoch_cycles)
             if config.sim.epoch_cycles
@@ -117,11 +119,16 @@ class Simulator:
         if self._epochs is not None and epoch_hook is not None:
             self._epochs.on_sample = epoch_hook
 
+    def _core_traces(self, trace) -> list:
+        """One trace per core: a plain run has a single core."""
+        return [trace]
+
     def run(self) -> SimResult:
         """Run to completion and return the results."""
         sim = self.config.sim
         controller = self.controller
-        cpu = self.cpu
+        cpus = self.cpus
+        active = self._active
         stats = self.stats
         epochs = self._epochs
         # Progress tracking as plain ints (no per-cycle tuple builds).
@@ -152,18 +159,18 @@ class Simulator:
                 prof.exit(PH_CTRL_TICK)
             else:
                 completed = controller.tick(self.now)
-            finished_reads = 0
             for req in completed:
                 if req.is_read:
-                    finished_reads += 1
-            if finished_reads:
-                cpu.on_read_completed(finished_reads)
+                    cpus[req.owner].on_read_completed(1)
             if profiling:
                 prof.enter(PH_CPU_TICK)
+            finished = False
+            for cpu in active:
                 cpu.tick(self.now)
+                if cpu.done():
+                    finished = True
+            if profiling:
                 prof.exit(PH_CPU_TICK)
-            else:
-                cpu.tick(self.now)
             if epochs is not None and self.now >= epochs.next_boundary:
                 # A boundary landing on a simulated cycle samples after
                 # that cycle's tick, exactly like the unskipped loop.
@@ -179,8 +186,17 @@ class Simulator:
                 stats.reset()
                 self._warmup_left = 0
                 self._warmup_cycle = self.now
+                self._warmup_retired = [
+                    cpu.instructions_retired for cpu in cpus
+                ]
 
-            if cpu.done():
+            if finished:
+                # A core only finishes inside its own tick, and a done
+                # core's tick is a no-op: stop ticking it.
+                active = self._active = [
+                    cpu for cpu in active if not cpu.done()
+                ]
+            if not active:
                 if not self._flush_started:
                     controller.begin_flush()
                     self._flush_started = True
@@ -246,20 +262,21 @@ class Simulator:
         """Next cycle to simulate: the event rule, applied every iteration.
 
         The clock jumps to ``min(next CPU-visible event, next controller
-        event)``.  Whenever the CPU can make progress its next visible
+        event)``.  Whenever any core can make progress its next visible
         event is simply ``now + 1``, which bounds the min from below —
         so the controller horizon query is short-circuited and the clock
-        steps by one.  When the CPU is blocked on memory (or has
-        finished), the CPU term drops out and the clock jumps straight
-        to the controller's next completion or earliest-issuable cycle.
+        steps by one.  When every core is done or blocked on memory, the
+        CPU term drops out and the clock jumps straight to the
+        controller's next completion or earliest-issuable cycle.
         """
         naive = self.now + 1
-        if not (self.cpu.done() or self.cpu.fully_stalled()):
-            return naive  # next CPU event is the very next cycle
+        for cpu in self._active:
+            if not cpu.fully_stalled():
+                return naive  # next CPU event is the very next cycle
         horizon = self.controller.next_event_after(self.now)
         if horizon is None:
-            # CPU blocked with no memory event: only legal when the CPU
-            # is done and the controller is empty (loop exits first).
+            # Cores blocked with no memory event: only legal when every
+            # core is done and the controller is empty (loop exits first).
             return naive
         return horizon if horizon > naive else naive
 

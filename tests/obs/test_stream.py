@@ -33,6 +33,7 @@ from repro.sim.epochs import EpochSample
 from repro.sim.parallel import ExperimentJob, execute_job
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.synthetic import multi_stream_kernel
+from tests.dense_tick import dense
 
 
 def small(cfg, epoch_cycles=500):
@@ -215,13 +216,6 @@ class TestExecuteJobStreaming:
         assert activate(None) is second
 
 
-class UnskippedSimulator(Simulator):
-    """The pre-event-driven loop: one cycle at a time, no clock jumps."""
-
-    def _next_cycle(self):
-        return self.now + 1
-
-
 class TestStreamedGapEquivalence:
     """Quiet-cycle-skipped gaps stream the same epoch series as batch.
 
@@ -255,7 +249,7 @@ class TestStreamedGapEquivalence:
         sim = Simulator(cfg, trace(), epoch_hook=samples.append)
         skipped = sim.run()
         cfg2 = small(fgnvm(4, 4), epoch_cycles)
-        unskipped = UnskippedSimulator(cfg2, trace()).run()
+        unskipped = dense(Simulator(cfg2, trace())).run()
         assert samples == unskipped.epochs
         assert skipped.epochs == unskipped.epochs
         assert skipped.summary() == unskipped.summary()

@@ -11,8 +11,10 @@ from repro.sim.epochs import (
     phase_summary,
     sparkline,
 )
-from repro.sim.simulator import Simulator, simulate
+from repro.sim.multicore import isolate_address_spaces
+from repro.sim.simulator import simulate
 from repro.workloads.synthetic import multi_stream_kernel
+from tests.dense_tick import assert_matches_dense, build, core_cases
 
 
 def small(cfg):
@@ -97,40 +99,34 @@ class TestSimulatorIntegration:
         assert len(digest["ipc"]) == len(result.epochs)
 
 
-class UnskippedSimulator(Simulator):
-    """The pre-event-driven loop: one cycle at a time, no clock jumps."""
-
-    def _next_cycle(self):
-        return self.now + 1
-
-
 class TestSkippedCycleEpochs:
     """Epoch sampling under clock skipping matches the unskipped loop.
 
     The event-driven clock can jump over epoch boundaries; the simulator
     materialises those boundaries at the next visited cycle with the
     counters the cycle-by-cycle loop would have sampled.  This pins the
-    whole epoch series — boundary cycles included — against a simulator
-    whose ``_next_cycle`` never skips.
+    whole epoch series — boundary cycles included — plus cycles,
+    per-core instructions and every counter against a simulator whose
+    ``_next_cycle`` never skips, on one core and on N sharing memory.
     """
 
-    def trace(self):
-        return multi_stream_kernel(
-            300, streams=4, gap=6, write_fraction=0.25, seed=5,
-        )
+    def traces(self, cores):
+        return isolate_address_spaces([
+            multi_stream_kernel(
+                300, streams=4, gap=6, write_fraction=0.25, seed=5 + core,
+            )
+            for core in range(cores)
+        ])
 
-    @pytest.mark.parametrize("epoch_cycles", (250, 500, 1000))
-    def test_epoch_series_identical_to_unskipped(self, epoch_cycles):
-        cfg = small(fgnvm(4, 4))
-        cfg.sim.epoch_cycles = epoch_cycles
-        skipped = Simulator(cfg, self.trace()).run()
-        cfg2 = small(fgnvm(4, 4))
-        cfg2.sim.epoch_cycles = epoch_cycles
-        unskipped = UnskippedSimulator(cfg2, self.trace()).run()
-        assert skipped.epochs == unskipped.epochs
-        assert skipped.cycles == unskipped.cycles
-        assert skipped.instructions == unskipped.instructions
-        assert skipped.summary() == unskipped.summary()
+    @pytest.mark.parametrize("epoch_cycles,cores",
+                             core_cases((250, 500, 1000)))
+    def test_epoch_series_identical_to_unskipped(self, epoch_cycles, cores):
+        def simulator():
+            cfg = small(fgnvm(4, 4))
+            cfg.sim.epoch_cycles = epoch_cycles
+            return build(cfg, self.traces(cores))
+
+        assert assert_matches_dense(simulator)["epochs"]
 
 
 class TestWarmup:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import baseline_nvm, fgnvm
+from repro.errors import SimulationError
 from repro.memsys.request import OpType
 from repro.sim.multicore import (
     MultiCoreResult,
@@ -57,8 +58,34 @@ class TestMechanics:
         trace = random_kernel(200, footprint_bytes=1 << 22, gap=5, seed=4)
         solo = simulate(small(fgnvm(4, 4)), trace)
         mix = run_mix(small(fgnvm(4, 4)), [trace])
-        assert mix.per_core_ipc[0] == pytest.approx(solo.ipc, rel=1e-6)
+        # One loop: the mix of one is the plain run, bit for bit.
         assert mix.cycles == solo.cycles
+        assert mix.stats.as_dict() == solo.stats.as_dict()
+        assert mix.per_core_ipc == [solo.ipc]
+
+    def test_warmup_restarts_per_core_accounting(self):
+        cfg = small(fgnvm(4, 4))
+        cfg.sim.warmup_requests = 100
+        cfg.sim.epoch_cycles = 500
+        result = run_mix(cfg, two_traces(200))
+        assert 0 < result.stats.requests < 400
+        assert sum(result.per_core_instructions) == result.stats.instructions
+        ratio = cfg.cpu.cpu_cycles_per_mem_cycle(cfg.timing.tck_ns)
+        assert result.throughput_ipc == pytest.approx(result.stats.ipc(ratio))
+        assert result.epochs
+
+    def test_guards_are_the_shared_loops(self):
+        cfg = small(baseline_nvm())
+        cfg.sim.deadlock_cycles = 500
+        wedged = MultiCoreSimulator(cfg, two_traces(50))
+        # Swallow every issue attempt so queued requests never progress.
+        wedged.controller.controllers[0]._issue_phase = lambda now: None
+        with pytest.raises(SimulationError, match="no progress.*pending="):
+            wedged.run()
+        cfg = small(baseline_nvm())
+        cfg.sim.max_cycles = 10
+        with pytest.raises(SimulationError, match="max_cycles"):
+            run_mix(cfg, two_traces(50))
 
     def test_deterministic(self):
         traces = two_traces(150)

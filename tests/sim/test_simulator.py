@@ -5,9 +5,11 @@ import pytest
 from repro.config import baseline_nvm, fgnvm
 from repro.errors import SimulationError
 from repro.memsys.request import OpType
+from repro.sim.multicore import isolate_address_spaces
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import multi_stream_kernel, stream_kernel
+from tests.dense_tick import CORE_COUNTS, assert_matches_dense, build
 
 
 def small(cfg):
@@ -53,22 +55,15 @@ class TestDeterminism:
 
 
 class TestEventSkipping:
-    def test_skipping_matches_dense_ticking(self):
+    @pytest.mark.parametrize("cores", CORE_COUNTS)
+    def test_skipping_matches_dense_ticking(self, cores):
         """The event-skip fast path must not change simulated behaviour."""
-        trace = multi_stream_kernel(150, streams=3, write_fraction=0.25)
-        cfg = small(fgnvm(4, 4))
-        skipped = simulate(cfg, trace)
-
-        dense = Simulator(small(fgnvm(4, 4)), trace)
-        dense._next_cycle = lambda: dense.now + 1  # force dense ticking
-        dense_result = dense.run()
-
-        assert skipped.cycles == dense_result.cycles
-        assert skipped.stats.reads == dense_result.stats.reads
-        assert (
-            skipped.stats.read_latency_sum
-            == dense_result.stats.read_latency_sum
-        )
+        traces = isolate_address_spaces([
+            multi_stream_kernel(150, streams=3, write_fraction=0.25,
+                                seed=13 + core)
+            for core in range(cores)
+        ])
+        assert_matches_dense(lambda: build(small(fgnvm(4, 4)), traces))
 
     def test_long_gaps_do_not_blow_up_runtime(self):
         # Huge compute gap between two accesses: must finish quickly.
