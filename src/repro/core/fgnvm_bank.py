@@ -44,6 +44,7 @@ from ..memsys.request import (
     SERVICE_WRITE,
     SERVICE_WRITE_MISS,
     MemRequest,
+    OpType,
 )
 from ..memsys.stats import StatsCollector
 from ..obs.events import (
@@ -317,12 +318,14 @@ class FgNvmBank:
         constraint are pure functions of bank state, which only mutates
         inside :meth:`issue` (where the memo is dropped), so repeated
         queue scans between issues collapse to one dict lookup per
-        distinct (op, row, sag, cd) target.  The uncached
+        distinct (is-write, row, sag, cd) target.  The uncached
         :meth:`classify`/:meth:`earliest_start` pair is kept pristine as
         the reference oracle the differential tests compare against.
         """
         dec = req.decoded
-        key = (req.op, dec.row, dec.sag, dec.cd)
+        # ``is`` on the op, not the Enum itself: hashing an Enum member
+        # is a Python-level call on the hottest lookup in the simulator.
+        key = (req.op is OpType.WRITE, dec.row, dec.sag, dec.cd)
         cached = self._sched_cache.get(key)
         if cached is not None:
             return cached

@@ -114,9 +114,10 @@ class MemoryController:
         #: after a pass that issued nothing (so queue occupancy — hence
         #: the drain phase and fall-through policy — cannot have
         #: changed), and reset by anything that can create issuable
-        #: work: enqueue, issue, flush.  Never installed when the
-        #: write-per-bank throttle is active, because that constraint
-        #: relaxes with time alone.
+        #: work: enqueue, issue, flush.  The write-per-bank throttle
+        #: relaxes with time alone, so a capped bank bounds it by the
+        #: next completion.  While the issue phase rests on it,
+        #: :meth:`next_event_after` uses it as the queue horizon.
         self._quiet_until = 0
         #: Cached min earliest-start constraint over both queues (the
         #: O(pending) part of the event horizon), rebuilt lazily.
@@ -308,12 +309,16 @@ class MemoryController:
                 break
             self._issue(candidate, now)
             issued = True
-        if not issued and not starved and self._write_cap is None:
+        if not issued and not starved and not (
+                self._traced and self._write_cap is not None):
             # Nothing issued, so queue occupancy (and with it the drain
             # phase and fall-through policy) is frozen until the next
             # enqueue/issue/flush — each of which resets the memo.  With
             # empty queues nothing can wake the issue phase but those
-            # same events, so the memo is effectively "forever".
+            # same events, so the memo is effectively "forever".  Not
+            # while a traced request waits under a write cap: blame
+            # decides write_cap vs sched_order at each observation, so
+            # those passes must keep running every visited cycle.
             self._quiet_until = (
                 blocked_min if blocked_min is not None else _FAR_FUTURE
             )
@@ -401,14 +406,25 @@ class MemoryController:
             return None, None
         banks = self.banks
         candidates: List[Candidate] = []
+        capped = False
         cap = self._write_cap if queue is self.write_queue else None
         for flat_bank, reqs in by_bank.items():
             bank = banks[flat_bank]
             if cap is not None and bank.active_writes(now) >= cap:
+                capped = True
                 continue
             for req in reqs:
                 candidates.append((req, bank))
-        return self.scheduler.pick_with_horizon(candidates, now)
+        candidate, blocked = self.scheduler.pick_with_horizon(
+            candidates, now
+        )
+        if candidate is None and capped and self._completions:
+            # The cap relaxes only when an in-flight write ends, and
+            # every write's end is on the completion heap.
+            head = self._completions[0][0]
+            if blocked is None or head < blocked:
+                blocked = head
+        return candidate, blocked
 
     def _candidates(self, queue: TransactionQueue, now: int
                      ) -> List[Candidate]:
@@ -500,7 +516,36 @@ class MemoryController:
         ``min over requests of max(constraint, now + 1)`` equals
         ``max(min constraint, now + 1)``); the reference policy keeps
         the seed's exhaustive per-request scan.
+
+        While the issue phase rests on its quiet-until memo, that memo
+        replaces the min constraint: it honours the read/write phase
+        policy and the write cap, which the raw constraints ignore, and
+        :data:`_FAR_FUTURE` leaves the completion heap alone.  Not while
+        a queue is full: admission refusals are counted per visited
+        cycle, so those cycles keep :meth:`min_constraint_horizon`.
         """
+        quiet = self._quiet_until
+        if not self._incremental or quiet <= now or self.queue_full:
+            return self.min_constraint_horizon(now)
+        horizon: Optional[int] = None
+        if self._completions:
+            horizon = self._completions[0][0]
+        if quiet != _FAR_FUTURE and (horizon is None or quiet < horizon):
+            horizon = quiet
+        if horizon is not None and horizon <= now:
+            raise SimulationError(
+                f"controller event horizon {horizon} not after now={now}"
+            )
+        return horizon
+
+    @property
+    def queue_full(self) -> bool:
+        """Whether either queue is full, so admission can be refused."""
+        return self.read_queue.is_full or self.write_queue.is_full
+
+    def min_constraint_horizon(self, now: int) -> Optional[int]:
+        """The horizon without the quiet memo: the completion heap and
+        the earliest cycle any queued request's bank could start it."""
         if not self._incremental:
             return self._next_event_after_reference(now)
         horizon: Optional[int] = None

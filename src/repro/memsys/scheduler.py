@@ -126,7 +126,7 @@ class IncrementalFrfcfs(FrfcfsScheduler):
     filtered list.  Per-candidate classification goes through the bank's
     :meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint` memo
     (updated lazily: banks drop it on issue, so enqueue-only cycles pay
-    one dict lookup per distinct (op, row, sag, cd) target); banks
+    one dict lookup per distinct (is-write, row, sag, cd) target); banks
     without that API — scriptable test doubles — fall back to the
     protocol's ``is_row_hit``/``earliest_start`` pair.
 

@@ -103,12 +103,16 @@ class MemorySystem:
     def next_event_after(self, now: int) -> Optional[int]:
         if self._single is not None:
             return self._single.next_event_after(now)
-        horizons = [
-            horizon
-            for horizon in (
-                c.next_event_after(now) for c in self.controllers
+        # Admission refusals are counted on every visited cycle, so while
+        # any channel's queue is full no channel may skip on its memo.
+        if any(c.queue_full for c in self.controllers):
+            per_channel = (
+                c.min_constraint_horizon(now) for c in self.controllers
             )
-            if horizon is not None
+        else:
+            per_channel = (c.next_event_after(now) for c in self.controllers)
+        horizons = [
+            horizon for horizon in per_channel if horizon is not None
         ]
         return min(horizons) if horizons else None
 

@@ -17,7 +17,15 @@ from repro.analysis.figure_blame import (
     run_figure_blame,
 )
 from repro.analysis.figure_policies import DEFAULT_BENCHMARKS
-from repro.obs.trace import BLAME_CAUSES
+from repro.config import fgnvm
+from repro.obs.trace import (
+    BLAME_CAUSES,
+    RequestTracer,
+    blame_report,
+    seed_from_digest,
+)
+from repro.sim.experiment import run_benchmark
+from repro.sim.parallel import config_digest
 
 REQUESTS = 600
 SAMPLE = 2
@@ -94,3 +102,47 @@ class TestFigureBlame:
         figure deterministic: a re-run produces identical reports."""
         again = run_figure_blame(["mcf"], REQUESTS, sample_every=SAMPLE)
         assert again.reports["mcf"] == fig.reports["mcf"]
+
+
+#: Blame cycles per cause of fully traced ``fgnvm-8x2`` runs at 1500
+#: requests (one write in flight per bank), recorded before the
+#: controller's event horizon learned the write cap.  ``write_cap`` vs
+#: ``sched_order`` is decided at each blame observation, so a scheduling
+#: pass skipped while a traced request waits under the cap moves cycles
+#: between them; the eager=False cell covers a capped controller whose
+#: write queue is only scanned once the reads run out.
+CAPPED_BLAME = {
+    ("mcf", True): {
+        "bus_conflict": 9615, "multi_activation": 33737,
+        "read_under_write": 8737, "sched_order": 1706, "service": 80176,
+        "tile_busy": 10474, "write_cap": 2206,
+    },
+    ("lbm", True): {
+        "bus_conflict": 12383, "multi_activation": 50553,
+        "read_under_write": 12815, "sched_order": 1704, "service": 68108,
+        "tile_busy": 156804, "write_cap": 43209,
+    },
+    ("mcf", False): {
+        "bus_conflict": 8830, "drain_phase": 31419,
+        "multi_activation": 49300, "read_under_write": 10120,
+        "sched_order": 2063, "service": 80524, "tile_busy": 22460,
+        "write_cap": 7391,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "bench,eager", list(CAPPED_BLAME),
+    ids=[f"{bench}-eager" if eager else f"{bench}-lazy"
+         for bench, eager in CAPPED_BLAME],
+)
+def test_capped_blame_is_pinned(bench, eager):
+    config = fgnvm(8, 2)
+    config.controller.eager_writes = eager
+    tracer = RequestTracer(
+        sample_every=1, seed=seed_from_digest(config_digest(config))
+    )
+    run_benchmark(config, bench, 1500, tracer=tracer)
+    report = blame_report(tracer.finished, tracer.queue_full)
+    assert report["spans"] == 1500
+    assert report["blame_cycles"] == CAPPED_BLAME[(bench, eager)]

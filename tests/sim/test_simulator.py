@@ -1,20 +1,77 @@
 """Simulation main loop: end-to-end runs, skipping, guards."""
 
+import os
+
 import pytest
 
-from repro.config import baseline_nvm, fgnvm
+from repro.config import baseline_nvm, fgnvm, fgnvm_multi_issue, many_banks
 from repro.errors import SimulationError
 from repro.memsys.request import OpType
+from repro.memsys.scheduler import SCHEDULER_ENV
 from repro.sim.multicore import isolate_address_spaces
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import multi_stream_kernel, stream_kernel
-from tests.dense_tick import CORE_COUNTS, assert_matches_dense, build
+from tests.dense_tick import (
+    CORE_COUNTS,
+    VISIT_COUNTED,
+    assert_matches_dense,
+    build,
+)
 
 
 def small(cfg):
     cfg.org.rows_per_bank = 256
     return cfg
+
+
+#: The Figure 4 organisations: ready writes held back by the read/write
+#: phase (baseline, 128-banks), by the one-write-per-bank cap (fgnvm)
+#: and with four command slots per cycle (multi-issue).
+FIG4_PRESETS = {
+    "baseline": baseline_nvm,
+    "128-banks": many_banks,
+    "fgnvm": lambda: fgnvm(8, 2),
+    "fgnvm-multi-issue": fgnvm_multi_issue,
+}
+
+
+def write_heavy(cores, gap, seed=5):
+    """Half-write stream mixes, one isolated address space per core."""
+    return isolate_address_spaces([
+        multi_stream_kernel(150, streams=4, gap=gap, write_fraction=0.5,
+                            seed=seed + core)
+        for core in range(cores)
+    ])
+
+
+def queue_filling(preset, channels=1):
+    """``preset`` with 8-entry queues that a gap-2 trace keeps full."""
+    cfg = small(FIG4_PRESETS[preset]())
+    cfg.org.channels = channels
+    cfg.controller.read_queue_entries = 8
+    cfg.controller.write_queue_entries = 8
+    cfg.controller.write_high_watermark = 6
+    cfg.controller.write_low_watermark = 2
+    return cfg
+
+
+#: (preset, cores, channels, trace seed) -> (read, write) refusals of
+#: the skipping loop on the queue-filling cases, recorded before the
+#: controller horizon learned the phase policy and the write cap: the
+#: skipped cycles must stay dead ones.  The two-channel case has one
+#: channel's queue full while the other rests on its quiet memo.
+QUEUE_FILL_REFUSALS = {
+    ("baseline", 1, 1, 5): (188, 20),
+    ("baseline", 2, 1, 5): (8472, 877),
+    ("128-banks", 1, 1, 5): (195, 15),
+    ("128-banks", 2, 1, 5): (9396, 297),
+    ("fgnvm", 1, 1, 5): (183, 21),
+    ("fgnvm", 2, 1, 5): (8582, 1219),
+    ("fgnvm-multi-issue", 1, 1, 5): (183, 21),
+    ("fgnvm-multi-issue", 2, 1, 5): (8582, 1223),
+    ("128-banks", 2, 2, 1): (3635, 483),
+}
 
 
 class TestEndToEnd:
@@ -64,6 +121,31 @@ class TestEventSkipping:
             for core in range(cores)
         ])
         assert_matches_dense(lambda: build(small(fgnvm(4, 4)), traces))
+
+    @pytest.mark.parametrize("cores", (1, 2))
+    @pytest.mark.parametrize("preset", FIG4_PRESETS)
+    def test_skipping_matches_dense_on_figure4_presets(self, preset, cores):
+        traces = write_heavy(cores, gap=20)
+        assert_matches_dense(
+            lambda: build(small(FIG4_PRESETS[preset]()), traces)
+        )
+
+    @pytest.mark.parametrize("preset, cores, channels, seed",
+                             QUEUE_FILL_REFUSALS)
+    def test_queue_filling_matches_dense(self, preset, cores, channels,
+                                         seed):
+        """The pinned refusals are the configured policies' counts, so
+        they are only checked without a ``REPRO_SCHEDULER`` override."""
+        traces = write_heavy(cores, gap=2, seed=seed)
+        skipped = assert_matches_dense(
+            lambda: build(queue_filling(preset, channels), traces),
+            fills_queues=True,
+        )
+        if SCHEDULER_ENV not in os.environ:
+            refusals = tuple(skipped["stats"][key] for key in VISIT_COUNTED)
+            assert refusals == QUEUE_FILL_REFUSALS[
+                (preset, cores, channels, seed)
+            ]
 
     def test_long_gaps_do_not_blow_up_runtime(self):
         # Huge compute gap between two accesses: must finish quickly.
