@@ -46,6 +46,7 @@ from ..memsys.request import (
     MemRequest,
     OpType,
 )
+from ..memsys.scheduler import FAR_FUTURE
 from ..memsys.stats import StatsCollector
 from ..obs.events import (
     EV_ISSUE,
@@ -168,6 +169,15 @@ class FgNvmBank:
         #: :meth:`issue` — which drops the memo — so entries can never go
         #: stale.
         self._sched_cache: dict = {}
+        #: ``active_writes`` memo: (cycle computed, next write release,
+        #: count).  The count holds until a write CD releases; only
+        #: :meth:`issue` starts writes, and it drops the memo.
+        self._writes_memo: Optional[Tuple[int, int, int]] = None
+        #: The owning controller's per-queue scan summaries
+        #: (:class:`~repro.memsys.scheduler.BankSummary`, keyed by flat
+        #: bank index).  Each describes this bank's state, so
+        #: :meth:`issue` drops this bank's entry from every map.
+        self.summary_maps: Tuple[dict, ...] = ()
 
     # -- row-buffer tags -----------------------------------------------------
 
@@ -186,15 +196,21 @@ class FgNvmBank:
 
     def classify(self, req: MemRequest) -> str:
         """Service kind this request would get if issued now."""
-        dec = req.decoded
-        sag, cds = self._coords(dec)
+        return self._kind(req, *self._coords(req.decoded))
+
+    def _kind(self, req: MemRequest, sag: int, cds: Tuple[int, ...]
+              ) -> str:
+        row = req.decoded.row
         if req.is_write:
-            if self.open_row[sag] == dec.row:
+            if self.open_row[sag] == row:
                 return SERVICE_WRITE
             return SERVICE_WRITE_MISS
-        if all(self._buffered(sag, c, dec.row) for c in cds):
+        for cd in cds:
+            if not self._buffered(sag, cd, row):
+                break
+        else:
             return SERVICE_ROW_HIT
-        if self.open_row[sag] == dec.row:
+        if self.open_row[sag] == row:
             return SERVICE_UNDERFETCH
         return SERVICE_ROW_MISS
 
@@ -223,12 +239,14 @@ class FgNvmBank:
         ``now`` — the incremental scheduler relies on this through
         :meth:`kind_and_constraint`.
         """
-        constraint = self._constraint(req, self.classify(req))
+        sag, cds = self._coords(req.decoded)
+        constraint = self._constraint(self._kind(req, sag, cds), sag, cds)
         return constraint if constraint > now else now
 
-    def _constraint(self, req: MemRequest, kind: str) -> int:
-        """Now-independent earliest-start bound for ``req``."""
-        sag, cds = self._coords(req.decoded)
+    def _constraint(self, kind: str, sag: int, cds: Tuple[int, ...]
+                    ) -> int:
+        """Now-independent earliest-start bound for an access of
+        ``kind`` to ``(sag, cds)``."""
         start = self._last_column + self.timing.tccd
         for cd in cds:
             cd_free = self.grid.cd_free_at(cd)
@@ -329,8 +347,9 @@ class FgNvmBank:
         cached = self._sched_cache.get(key)
         if cached is not None:
             return cached
-        kind = self.classify(req)
-        entry = (kind, self._constraint(req, kind))
+        sag, cds = self._coords(dec)
+        kind = self._kind(req, sag, cds)
+        entry = (kind, self._constraint(kind, sag, cds))
         self._sched_cache[key] = entry
         return entry
 
@@ -359,9 +378,12 @@ class FgNvmBank:
                 if self.per_sag_buffers:
                     self._sag_buffer[sag][cd] = None
         # Issuing is the only place bank state changes; the scheduling
-        # memo is rebuilt lazily on the next query.
+        # memos are rebuilt lazily on the next query.
         if self._sched_cache:
             self._sched_cache.clear()
+        self._writes_memo = None
+        for summaries in self.summary_maps:
+            summaries.pop(self.bank_id, None)
         return result
 
     def _issue(self, req: MemRequest, now: int) -> IssueResult:
@@ -601,10 +623,19 @@ class FgNvmBank:
             ))
 
     def active_writes(self, now: int) -> int:
-        """Writes currently driving cells in this bank (throttle query)."""
-        return sum(
-            1 for k in self.grid.active_cd_kinds(now) if k == KIND_WRITE
+        """Writes currently driving cells in this bank (throttle query).
+
+        Counted in write-held CDs and memoized until the next write CD
+        releases (or the next :meth:`issue`).
+        """
+        memo = self._writes_memo
+        if memo is not None and memo[0] <= now < memo[1]:
+            return memo[2]
+        count, release = self.grid.write_census(now)
+        self._writes_memo = (
+            now, release if release is not None else FAR_FUTURE, count
         )
+        return count
 
     # -- event-skipping support ----------------------------------------------
 
@@ -640,6 +671,8 @@ class FgNvmBank:
         rel = self.reliability
         if rel is not None and rel.remap:
             sag, base = rel.resolve(sag, base)
+        if self.cd_span == 1:
+            return (sag, (base,))
         cds = tuple(
             (base + offset) % self.column_divisions
             for offset in range(self.cd_span)

@@ -103,6 +103,18 @@ class TileGrid:
             if until[cd] > now and cd not in excluded
         ]
 
+    def write_census(self, now: int) -> Tuple[int, Optional[int]]:
+        """(CDs a write holds at ``now``, earliest of their releases)."""
+        count = 0
+        release: Optional[int] = None
+        kinds = self._cd_kind
+        for cd, until in enumerate(self._cd_until):
+            if until > now and kinds[cd] == KIND_WRITE:
+                count += 1
+                if release is None or until < release:
+                    release = until
+        return count, release
+
     def any_write_active(self, now: int) -> bool:
         until = self._cd_until
         kinds = self._cd_kind

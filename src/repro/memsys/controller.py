@@ -54,11 +54,8 @@ from .bus import CommandBus, DataBus
 from .policies import resolve_scheduler
 from .queues import TransactionQueue, WriteQueue
 from .request import MemRequest, OpType
-from .scheduler import Candidate
+from .scheduler import FAR_FUTURE, Candidate
 from .stats import StatsCollector
-
-#: Quiet-cycle sentinel: "no issuable work until something enqueues".
-_FAR_FUTURE = 1 << 62
 
 
 class MemoryController:
@@ -97,6 +94,13 @@ class MemoryController:
             config.controller.write_high_watermark,
             config.controller.write_low_watermark,
         )
+        for bank in self.banks:
+            bank.summary_maps = (
+                self.read_queue.summaries, self.write_queue.summaries
+            )
+        #: The scheduler whose within-bank order and keys the queues'
+        #: summaries encode; a swapped scheduler starts from none.
+        self._summarized_by = None
         self.command_bus = CommandBus(config.controller.issue_width)
         self.data_bus = DataBus(
             config.controller.data_bus_width, self.timing.tburst
@@ -294,6 +298,7 @@ class MemoryController:
                     break
                 self._issue(candidate, now)
             return
+        self._check_summaries()
         issued = False
         starved = False
         blocked_min: Optional[int] = None
@@ -320,7 +325,7 @@ class MemoryController:
             # decides write_cap vs sched_order at each observation, so
             # those passes must keep running every visited cycle.
             self._quiet_until = (
-                blocked_min if blocked_min is not None else _FAR_FUTURE
+                blocked_min if blocked_min is not None else FAR_FUTURE
             )
 
     def _blame_pass(self, now: int, draining: bool) -> None:
@@ -378,10 +383,10 @@ class MemoryController:
     ) -> "Tuple[Optional[Candidate], Optional[int]]":
         """Incremental-scheduler twin of :meth:`_next_candidate`.
 
-        Same phase policy and the same winner, but scanned through the
-        per-bank queue index and the banks' memoized (kind, constraint)
-        lookups; additionally reports the earliest constraint among
-        blocked candidates so quiet cycles can be memoized.
+        Same phase policy and the same winner, reduced over the queues'
+        memoized per-bank summaries; additionally reports the earliest
+        constraint among blocked candidates so quiet cycles can be
+        memoized.
         """
         first, second = (
             (self.write_queue, self.read_queue) if draining
@@ -399,13 +404,31 @@ class MemoryController:
                 blocked = second_blocked
         return None, blocked
 
+    def _check_summaries(self) -> None:
+        if self.scheduler is not self._summarized_by:
+            # Summaries encode the scheduler's within-bank order and key.
+            self.read_queue.summaries.clear()
+            self.write_queue.summaries.clear()
+            self._summarized_by = self.scheduler
+
     def _pick_fast(self, queue: TransactionQueue, now: int
                    ) -> "Tuple[Optional[Candidate], Optional[int]]":
+        """Reduce over the queue's per-bank summaries, rescanning a
+        group only when its summary is missing or ``now`` has left its
+        window.
+
+        A summary is dropped when its group gains or loses a request
+        (:meth:`TransactionQueue.push`/``remove``) or its bank issues
+        (:meth:`FgNvmBank.issue`); otherwise it holds for every ``now``
+        in ``[at, until)``.
+        """
         by_bank = queue.by_bank()
         if not by_bank:
             return None, None
         banks = self.banks
-        candidates: List[Candidate] = []
+        scheduler = self.scheduler
+        summaries = queue.summaries
+        live = []
         capped = False
         cap = self._write_cap if queue is self.write_queue else None
         for flat_bank, reqs in by_bank.items():
@@ -413,11 +436,12 @@ class MemoryController:
             if cap is not None and bank.active_writes(now) >= cap:
                 capped = True
                 continue
-            for req in reqs:
-                candidates.append((req, bank))
-        candidate, blocked = self.scheduler.pick_with_horizon(
-            candidates, now
-        )
+            summary = summaries.get(flat_bank)
+            if summary is None or not summary.at <= now < summary.until:
+                summary = scheduler.summarize(reqs, bank, now)
+                summaries[flat_bank] = summary
+            live.append((bank, summary))
+        candidate, blocked = scheduler.reduce(live, now)
         if candidate is None and capped and self._completions:
             # The cap relaxes only when an in-flight write ends, and
             # every write's end is on the completion heap.
@@ -520,7 +544,7 @@ class MemoryController:
         While the issue phase rests on its quiet-until memo, that memo
         replaces the min constraint: it honours the read/write phase
         policy and the write cap, which the raw constraints ignore, and
-        :data:`_FAR_FUTURE` leaves the completion heap alone.  Not while
+        :data:`FAR_FUTURE` leaves the completion heap alone.  Not while
         a queue is full: admission refusals are counted per visited
         cycle, so those cycles keep :meth:`min_constraint_horizon`.
         """
@@ -530,7 +554,7 @@ class MemoryController:
         horizon: Optional[int] = None
         if self._completions:
             horizon = self._completions[0][0]
-        if quiet != _FAR_FUTURE and (horizon is None or quiet < horizon):
+        if quiet != FAR_FUTURE and (horizon is None or quiet < horizon):
             horizon = quiet
         if horizon is not None and horizon <= now:
             raise SimulationError(
@@ -552,7 +576,7 @@ class MemoryController:
         if self._completions:
             horizon = self._completions[0][0]
         if self._minc_dirty:
-            self._min_constraint = self._recompute_min_constraint()
+            self._min_constraint = self._recompute_min_constraint(now)
             self._minc_dirty = False
         min_c = self._min_constraint
         if min_c is not None:
@@ -565,16 +589,23 @@ class MemoryController:
             )
         return horizon
 
-    def _recompute_min_constraint(self) -> Optional[int]:
+    def _recompute_min_constraint(self, now: int) -> Optional[int]:
+        """Min now-independent constraint over both queues: a min over
+        the per-bank summaries' minima (any summary not dropped is
+        current here, whatever its window)."""
+        self._check_summaries()
         min_c: Optional[int] = None
-        banks = self.banks
         for queue in (self.read_queue, self.write_queue):
+            summaries = queue.summaries
             for flat_bank, reqs in queue.by_bank().items():
-                bank = banks[flat_bank]
-                for req in reqs:
-                    constraint = bank.kind_and_constraint(req)[1]
-                    if min_c is None or constraint < min_c:
-                        min_c = constraint
+                summary = summaries.get(flat_bank)
+                if summary is None:
+                    summary = self.scheduler.summarize(
+                        reqs, self.banks[flat_bank], now
+                    )
+                    summaries[flat_bank] = summary
+                if min_c is None or summary.min_constraint < min_c:
+                    min_c = summary.min_constraint
         return min_c
 
     def _next_event_after_reference(self, now: int) -> Optional[int]:

@@ -24,6 +24,10 @@ class TransactionQueue:
     per-bank groups — one bank lookup and one throttle check per bank —
     instead of re-pairing every request with its bank model each cycle.
     Each per-bank list stays in arrival order by construction.
+
+    ``summaries`` holds the controller's scan summary per bank group
+    (:class:`~repro.memsys.scheduler.BankSummary`); a push or remove
+    changes the group, so it drops that group's summary.
     """
 
     def __init__(self, capacity: int):
@@ -32,6 +36,7 @@ class TransactionQueue:
         self.capacity = capacity
         self._entries: List[MemRequest] = []
         self._by_bank: Dict[int, List[MemRequest]] = {}
+        self.summaries: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -64,6 +69,7 @@ class TransactionQueue:
             self._by_bank[bank] = [req]
         else:
             group.append(req)
+        self.summaries.pop(bank, None)
 
     def remove(self, req: MemRequest) -> None:
         self._entries.remove(req)
@@ -72,6 +78,7 @@ class TransactionQueue:
         group.remove(req)
         if not group:
             del self._by_bank[bank]
+        self.summaries.pop(bank, None)
 
     def by_bank(self) -> Dict[int, List[MemRequest]]:
         """Live per-bank view: flat bank index -> arrival-ordered requests.

@@ -63,9 +63,13 @@ class DecodedAddress:
 _req_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MemRequest:
-    """One cache-line memory transaction."""
+    """One cache-line memory transaction.
+
+    Equality is identity: every request is unique (``req_id``), and the
+    queues' ``list.remove`` must not compare field by field.
+    """
 
     op: OpType
     address: int

@@ -6,11 +6,13 @@ Implements the controller policies the paper evaluates:
 * :class:`FrfcfsScheduler` — first-ready FCFS [Rixner et al., ISCA'00]:
   requests that would hit buffered data ("first ready") go first, oldest
   first within each class.  This is Table 2's scheduler.
-* :class:`IncrementalFrfcfs` — the same ordering computed as a single
-  O(n) min-scan over memoized per-bank (kind, constraint) lookups
-  instead of classifying and sorting the whole queue; the default for
-  FRFCFS configurations, with :class:`FrfcfsScheduler` kept as the
-  reference oracle (``REPRO_SCHEDULER=reference`` forces it back on).
+* :class:`IncrementalFrfcfs` — the same ordering computed per bank
+  (:class:`BankScanPolicy`: one scan per (queue, bank) group over the
+  bank's memoized (kind, constraint) lookups, then a reduction over
+  the per-bank winners) instead of classifying and sorting the whole
+  queue; the default for FRFCFS configurations, with
+  :class:`FrfcfsScheduler` kept as the reference oracle
+  (``REPRO_SCHEDULER=reference`` forces it back on).
 * The paper's **Multi-Issue** augmentation is not a different ordering —
   it is the same FRFCFS ranking applied to multiple command slots per
   cycle, so it is expressed through ``ControllerParams.issue_width``
@@ -29,7 +31,7 @@ implementation, brute-force oracle) pair sharing one ranking mixin:
   row-buffer-locality-aware ranking [Meza et al., CAL'12]: a per-bank
   saturating locality score (fed back from issued service kinds)
   breaks ties toward banks with hot row buffers.
-* :class:`IncrementalFcfs` — FCFS as the same single-pass min-scan,
+* :class:`IncrementalFcfs` — FCFS through the same per-bank scans,
   with :class:`FcfsScheduler` as its oracle.
 
 A policy ranks *issuable* candidates; the controller determines
@@ -42,7 +44,7 @@ policy in the zoo.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..config.params import SchedulerKind
 from .request import SERVICE_ROW_HIT, SERVICE_WRITE, MemRequest
@@ -117,115 +119,162 @@ class FrfcfsScheduler(SchedulingPolicy):
         return issuable
 
 
-class IncrementalFrfcfs(FrfcfsScheduler):
-    """FRFCFS as an incremental min-scan over cached bank lookups.
+#: "Never by the passage of time alone": the end of a summary window with
+#: no blocked request, and the controller's quiet-cycle memo when only
+#: an enqueue can create issuable work.
+FAR_FUTURE = 1 << 62
 
-    Picks the same candidate as ``FrfcfsScheduler.rank(...)[0]`` — the
-    minimum of ``(not is_row_hit, arrival_cycle, req_id)`` over issuable
-    candidates — but in one pass with no sort, no key tuples, and no
-    filtered list.  Per-candidate classification goes through the bank's
-    :meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint` memo
-    (updated lazily: banks drop it on issue, so enqueue-only cycles pay
-    one dict lookup per distinct (is-write, row, sag, cd) target); banks
-    without that API — scriptable test doubles — fall back to the
-    protocol's ``is_row_hit``/``earliest_start`` pair.
 
-    ``rank`` is inherited from the reference implementation: only the
-    single-winner ``pick`` is hot.
+class BankSummary(NamedTuple):
+    """One bank's scan over one queue's requests for it, at cycle ``at``.
+
+    Constraints are now-independent and change only when the bank
+    issues, so the issuable set — and with it ``winner`` — stays the
+    same for every ``now`` in ``[at, until)``: ``until`` is the earliest
+    constraint among the blocked requests (:data:`FAR_FUTURE` when none
+    is blocked).  ``min_constraint`` is the group's now-independent
+    minimum, valid until the group or the bank changes.
     """
 
-    name = "frfcfs-incremental"
+    at: int
+    until: int
+    #: Best issuable request under the policy's within-bank order.
+    winner: Optional[MemRequest]
+    #: Whether ``winner`` is a row hit.
+    hit: bool
+    #: The policy's ``scan_key`` for ``winner`` at cycle ``at``.
+    key: Optional[tuple]
+    min_constraint: int
+
+
+class KeyedPolicy(SchedulingPolicy):
+    """A policy defined by one ranking key over issuable candidates.
+
+    The brute-force oracle base: ``rank`` filters issuable candidates
+    and sorts them by :meth:`scan_key`.  Classification deliberately
+    goes through the protocol pair (``is_row_hit`` / ``earliest_start``),
+    not the banks' memo, so a sorting oracle is an independent second
+    opinion on the fast policy's memoized scans.
+    """
+
+    def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
+                 now: int) -> tuple:
+        raise NotImplementedError
+
+    def rank(self, candidates: Sequence[Candidate], now: int
+             ) -> List[Candidate]:
+        issuable = [
+            cand for cand in candidates
+            if cand[1].earliest_start(cand[0], now) <= now
+        ]
+        issuable.sort(key=lambda cand: self.scan_key(
+            cand[0], cand[1], cand[1].is_row_hit(cand[0]), now
+        ))
+        return issuable
+
+
+class BankScanPolicy(KeyedPolicy):
+    """Incremental policies: per-bank winners reduced across banks.
+
+    :meth:`summarize` scans one bank's requests from one queue in the
+    policy's within-bank order; :meth:`reduce` picks the best per-bank
+    winner by :meth:`scan_key`.  The two orders agree inside such a
+    group — PALP's overlap term and RBLA's locality score are constant
+    over one bank's reads or one bank's writes — so the per-bank winner
+    is also the group's key-minimal candidate.  The controller memoizes
+    the summaries per (queue, bank); see :class:`BankSummary` for how
+    long one stays valid.
+    """
 
     #: Controllers key their fast paths off this flag.
     incremental = True
 
-    def pick(self, candidates: Sequence[Candidate], now: int
-             ) -> Optional[Candidate]:
-        return self.pick_with_horizon(candidates, now)[0]
+    #: Within-bank order: ``(not hit, arrival, req_id)`` when True (the
+    #: FRFCFS family), ``(arrival, req_id)`` when False (FCFS).
+    hit_first = True
 
-    def pick_with_horizon(self, candidates: Sequence[Candidate], now: int
-                          ) -> "Tuple[Optional[Candidate], Optional[int]]":
-        """(best candidate, earliest constraint among blocked ones).
+    #: ``scan_key`` reads neither ``now`` nor policy state, so a
+    #: summary's cached ``key`` stays the cross-bank key while the
+    #: summary is valid.
+    static_key = True
 
-        The second element is the soonest cycle any *currently blocked*
-        candidate could become issuable — ``None`` when nothing is
-        blocked — which the controller uses to memoize provably quiet
-        cycles.
+    def summarize(self, reqs: Sequence[MemRequest], bank: BankLike,
+                  now: int) -> BankSummary:
+        """Scan one bank's requests (all reads or all writes) at ``now``.
+
+        Per-request classification goes through the bank's
+        :meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint`
+        memo; banks without that API (scriptable test doubles) fall back
+        to the protocol's ``is_row_hit``/``earliest_start`` pair.
         """
-        best: Optional[Candidate] = None
+        lookup = getattr(bank, "kind_and_constraint", None)
+        hit_first = self.hit_first
+        best: Optional[MemRequest] = None
         best_hit = False
         best_arrival = 0
         best_id = 0
-        blocked_min: Optional[int] = None
-        for cand in candidates:
-            req, bank = cand
-            lookup = getattr(bank, "kind_and_constraint", None)
+        blocked = FAR_FUTURE
+        min_c = FAR_FUTURE
+        for req in reqs:
             if lookup is not None:
                 kind, constraint = lookup(req)
                 hit = kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE
             else:
                 constraint = bank.earliest_start(req, now)
                 hit = bank.is_row_hit(req)
+            if constraint < min_c:
+                min_c = constraint
             if constraint > now:
-                if blocked_min is None or constraint < blocked_min:
-                    blocked_min = constraint
+                if constraint < blocked:
+                    blocked = constraint
                 continue
             if best is None:
                 take = True
-            elif hit != best_hit:
+            elif hit_first and hit != best_hit:
                 take = hit
             elif req.arrival_cycle != best_arrival:
                 take = req.arrival_cycle < best_arrival
             else:
                 take = req.req_id < best_id
             if take:
-                best = cand
+                best = req
                 best_hit = hit
                 best_arrival = req.arrival_cycle
                 best_id = req.req_id
-        return best, blocked_min
+        key = (self.scan_key(best, bank, best_hit, now)
+               if best is not None else None)
+        return BankSummary(now, blocked, best, best_hit, key, min_c)
 
+    def reduce(self, summaries: "Sequence[Tuple[BankLike, BankSummary]]",
+               now: int) -> "Tuple[Optional[Candidate], Optional[int]]":
+        """(best per-bank winner, earliest blocked constraint).
 
-def _classify(req: MemRequest, bank: BankLike, now: int
-              ) -> Tuple[bool, int]:
-    """(is_row_hit, earliest-start constraint) via the memoized fast
-    path when the bank provides it, the protocol pair otherwise."""
-    lookup = getattr(bank, "kind_and_constraint", None)
-    if lookup is not None:
-        kind, constraint = lookup(req)
-        return kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE, constraint
-    return bank.is_row_hit(req), bank.earliest_start(req, now)
-
-
-class MinScanPolicy(SchedulingPolicy):
-    """Shared single-pass min-scan base for incremental fast policies.
-
-    Subclasses define :meth:`scan_key`; ``pick_with_horizon`` finds the
-    key-minimal issuable candidate in one pass (no sort, no filtered
-    list) while tracking the earliest constraint among blocked
-    candidates for the controller's quiet-cycle memo.
-    :class:`IncrementalFrfcfs` predates this base and keeps its
-    hand-unrolled comparison (it is the hot default); every other fast
-    policy pays one small key tuple per issuable candidate.
-    """
-
-    #: Controllers key their fast paths off this flag.
-    incremental = True
-
-    def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
-                 now: int) -> tuple:
-        raise NotImplementedError
-
-    def rank(self, candidates: Sequence[Candidate], now: int
-             ) -> List[Candidate]:
-        issuable = [
-            cand for cand in candidates
-            if cand[1].earliest_start(cand[0], now) <= now
-        ]
-        issuable.sort(key=lambda cand: self.scan_key(
-            cand[0], cand[1], cand[1].is_row_hit(cand[0]), now
-        ))
-        return issuable
+        The second element is the soonest cycle any *currently blocked*
+        request could become issuable — ``None`` when nothing is
+        blocked — which the controller uses to memoize quiet cycles.
+        """
+        best: Optional[MemRequest] = None
+        best_bank: Optional[BankLike] = None
+        best_key: Optional[tuple] = None
+        blocked = FAR_FUTURE
+        static = self.static_key
+        for bank, summary in summaries:
+            if summary.until < blocked:
+                blocked = summary.until
+            winner = summary.winner
+            if winner is None:
+                continue
+            key = summary.key if static else self.scan_key(
+                winner, bank, summary.hit, now
+            )
+            if best_key is None or key < best_key:
+                best = winner
+                best_bank = bank
+                best_key = key
+        return (
+            (best, best_bank) if best is not None else None,
+            blocked if blocked != FAR_FUTURE else None,
+        )
 
     def pick(self, candidates: Sequence[Candidate], now: int
              ) -> Optional[Candidate]:
@@ -233,46 +282,40 @@ class MinScanPolicy(SchedulingPolicy):
 
     def pick_with_horizon(self, candidates: Sequence[Candidate], now: int
                           ) -> "Tuple[Optional[Candidate], Optional[int]]":
-        best: Optional[Candidate] = None
-        best_key: Optional[tuple] = None
-        blocked_min: Optional[int] = None
+        """:meth:`reduce` over fresh summaries of a flat candidate list.
+
+        Candidates are grouped per (bank, is-write), the shape of the
+        controller's per-queue bank groups; the winner comes back as the
+        caller's own candidate object.
+        """
+        groups: dict = {}
+        owner: dict = {}
         for cand in candidates:
             req, bank = cand
-            hit, constraint = _classify(req, bank, now)
-            if constraint > now:
-                if blocked_min is None or constraint < blocked_min:
-                    blocked_min = constraint
-                continue
-            key = self.scan_key(req, bank, hit, now)
-            if best_key is None or key < best_key:
-                best = cand
-                best_key = key
-        return best, blocked_min
+            owner[id(req)] = cand
+            group = groups.setdefault((id(bank), req.is_write), (bank, []))
+            group[1].append(req)
+        best, blocked = self.reduce(
+            [(bank, self.summarize(reqs, bank, now))
+             for bank, reqs in groups.values()],
+            now,
+        )
+        return (owner[id(best[0])] if best is not None else None), blocked
 
 
-class KeyedReference(SchedulingPolicy):
-    """Brute-force oracle base: filter issuable, sort everything.
+class IncrementalFrfcfs(BankScanPolicy, FrfcfsScheduler):
+    """FRFCFS through per-bank summaries; oracle :class:`FrfcfsScheduler`.
 
-    Classification deliberately goes through the protocol pair
-    (``is_row_hit`` / ``earliest_start``), not the banks' memo, so the
-    oracle is an independent second opinion on the fast policy's
-    memoized scan.
+    Picks the same candidate as ``FrfcfsScheduler.rank(...)[0]``: the
+    minimum of ``(not is_row_hit, arrival_cycle, req_id)`` over the
+    issuable candidates.
     """
+
+    name = "frfcfs-incremental"
 
     def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
                  now: int) -> tuple:
-        raise NotImplementedError
-
-    def rank(self, candidates: Sequence[Candidate], now: int
-             ) -> List[Candidate]:
-        issuable = [
-            cand for cand in candidates
-            if cand[1].earliest_start(cand[0], now) <= now
-        ]
-        issuable.sort(key=lambda cand: self.scan_key(
-            cand[0], cand[1], cand[1].is_row_hit(cand[0]), now
-        ))
-        return issuable
+        return (not hit, req.arrival_cycle, req.req_id)
 
 
 class FcfsRanking:
@@ -283,10 +326,11 @@ class FcfsRanking:
         return (req.arrival_cycle, req.req_id)
 
 
-class IncrementalFcfs(FcfsRanking, MinScanPolicy, FcfsScheduler):
-    """FCFS as a single min-scan; :class:`FcfsScheduler` is its oracle."""
+class IncrementalFcfs(FcfsRanking, BankScanPolicy, FcfsScheduler):
+    """FCFS through per-bank summaries; oracle :class:`FcfsScheduler`."""
 
     name = "fcfs-incremental"
+    hit_first = False
 
 
 def _active_writes(bank: BankLike, now: int) -> int:
@@ -313,16 +357,18 @@ class PalpRanking:
         return (not hit, not overlap, req.arrival_cycle, req.req_id)
 
 
-class PalpReference(PalpRanking, KeyedReference):
+class PalpReference(PalpRanking, KeyedPolicy):
     """Sort-based PALP oracle."""
 
     name = "palp-reference"
 
 
-class IncrementalPalp(PalpRanking, MinScanPolicy):
-    """Single-pass PALP; oracle: :class:`PalpReference`."""
+class IncrementalPalp(PalpRanking, BankScanPolicy):
+    """Per-bank-summary PALP; oracle: :class:`PalpReference`."""
 
     name = "palp"
+    #: The overlap term follows in-flight writes, which end with time.
+    static_key = False
 
 
 #: Saturation ceiling for the per-bank locality score.
@@ -366,16 +412,18 @@ class RblaState:
                 req.req_id)
 
 
-class RblaReference(RblaState, KeyedReference):
+class RblaReference(RblaState, KeyedPolicy):
     """Sort-based RBLA oracle (stateful: see :class:`RblaState`)."""
 
     name = "rbla-reference"
 
 
-class IncrementalRbla(RblaState, MinScanPolicy):
-    """Single-pass RBLA; oracle: :class:`RblaReference`."""
+class IncrementalRbla(RblaState, BankScanPolicy):
+    """Per-bank-summary RBLA; oracle: :class:`RblaReference`."""
 
     name = "rbla"
+    #: The locality score moves with ``note_issued`` feedback.
+    static_key = False
 
 
 #: Environment override for the scheduler implementation (differential

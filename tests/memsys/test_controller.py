@@ -223,3 +223,104 @@ class TestQueueFullAccounting:
         assert stalls[0].cycle == 42
         assert stalls[0].op == "R"
         assert stalls[0].value == len(ctrl.read_queue)
+
+
+class TestBankSummaryMemo:
+    """Per-(queue, bank) scan summaries and their invalidation points."""
+
+    @staticmethod
+    def request(ctrl, op, bank, row, col=0):
+        return MemRequest(op, ctrl.mapper.encode(bank=bank, row=row, col=col))
+
+    @staticmethod
+    def flat_min(ctrl):
+        starts = [ctrl.banks[req.decoded.flat_bank].earliest_start(req, 0)
+                  for queue in (ctrl.read_queue, ctrl.write_queue)
+                  for req in queue]
+        return min(starts) if starts else None
+
+    def summarize_all(self, ctrl, now):
+        ctrl._pick_fast(ctrl.read_queue, now)
+        ctrl._pick_fast(ctrl.write_queue, now)
+        return (dict(ctrl.read_queue.summaries),
+                dict(ctrl.write_queue.summaries))
+
+    def test_enqueue_drops_only_that_banks_summary(self, fg_ctrl):
+        for bank in (0, 1):
+            fg_ctrl.enqueue(self.request(fg_ctrl, OpType.READ, bank, 3), 0)
+        fg_ctrl.enqueue(self.request(fg_ctrl, OpType.WRITE, 0, 9), 0)
+        reads, writes = self.summarize_all(fg_ctrl, 0)
+        assert set(reads) == {0, 1} and set(writes) == {0}
+        fg_ctrl.enqueue(self.request(fg_ctrl, OpType.READ, 0, 4), 0)
+        assert 0 not in fg_ctrl.read_queue.summaries
+        assert fg_ctrl.read_queue.summaries[1] is reads[1]
+        assert fg_ctrl.write_queue.summaries[0] is writes[0]
+
+    def test_issue_drops_the_banks_read_and_write_summaries(self, fg_ctrl):
+        read = self.request(fg_ctrl, OpType.READ, 0, 3)
+        fg_ctrl.enqueue(read, 0)
+        fg_ctrl.enqueue(self.request(fg_ctrl, OpType.READ, 1, 3), 0)
+        fg_ctrl.enqueue(self.request(fg_ctrl, OpType.WRITE, 0, 9), 0)
+        reads, writes = self.summarize_all(fg_ctrl, 0)
+        # Straight to the bank: the drop lives in FgNvmBank.issue itself.
+        fg_ctrl.banks[0].issue(read, 0)
+        assert 0 not in fg_ctrl.read_queue.summaries
+        assert 0 not in fg_ctrl.write_queue.summaries
+        assert fg_ctrl.read_queue.summaries[1] is reads[1]
+
+    def test_pass_at_blocked_min_rebuilds_the_summary(self, fg_ctrl):
+        first = self.request(fg_ctrl, OpType.READ, 0, 1)
+        second = self.request(fg_ctrl, OpType.READ, 0, 2)
+        assert first.address != second.address
+        fg_ctrl.enqueue(first, 0)
+        fg_ctrl.enqueue(second, 0)
+        assert (first.decoded.sag, first.decoded.cd) == (
+            second.decoded.sag, second.decoded.cd)
+        fg_ctrl.tick(0)
+        assert first.state is RequestState.ISSUED
+        picked, blocked = fg_ctrl._pick_fast(fg_ctrl.read_queue, 1)
+        summary = fg_ctrl.read_queue.summaries[0]
+        assert picked is None and summary.winner is None
+        assert (summary.at, summary.until) == (1, blocked)
+        assert blocked == fg_ctrl.banks[0].earliest_start(second, 1) > 1
+        fg_ctrl._pick_fast(fg_ctrl.read_queue, blocked - 1)
+        assert fg_ctrl.read_queue.summaries[0] is summary
+        picked, _ = fg_ctrl._pick_fast(fg_ctrl.read_queue, blocked)
+        rebuilt = fg_ctrl.read_queue.summaries[0]
+        assert rebuilt is not summary and rebuilt.at == blocked
+        assert picked[0] is second and rebuilt.winner is second
+
+    def test_swapped_scheduler_starts_from_no_summaries(self, fg_ctrl):
+        from repro.memsys.scheduler import IncrementalFcfs
+
+        for bank in (0, 1):
+            fg_ctrl.enqueue(self.request(fg_ctrl, OpType.READ, bank, 3), 0)
+        fg_ctrl.enqueue(self.request(fg_ctrl, OpType.WRITE, 0, 9), 0)
+        reads, writes = self.summarize_all(fg_ctrl, 0)
+        fg_ctrl.scheduler = IncrementalFcfs()
+        fg_ctrl._recompute_min_constraint(0)
+        for queue, old in ((fg_ctrl.read_queue, reads),
+                           (fg_ctrl.write_queue, writes)):
+            assert set(queue.summaries) == set(old)
+            assert all(queue.summaries[bank] is not summary
+                       for bank, summary in old.items())
+
+    def test_min_constraint_matches_flat_min_after_each_step(self, fg_ctrl):
+        steps = [
+            (OpType.READ, 0, 1), (OpType.READ, 0, 2), (OpType.WRITE, 1, 7),
+            (OpType.READ, 1, 7), (OpType.WRITE, 0, 5), (OpType.READ, 2, 3),
+        ]
+        now = 0
+        for op, bank, row in steps:
+            fg_ctrl.enqueue(self.request(fg_ctrl, op, bank, row), now)
+            assert fg_ctrl._recompute_min_constraint(now) == \
+                self.flat_min(fg_ctrl)
+            fg_ctrl.tick(now)
+            assert fg_ctrl._recompute_min_constraint(now) == \
+                self.flat_min(fg_ctrl)
+            now += 7
+        while fg_ctrl.pending:
+            fg_ctrl.tick(now)
+            assert fg_ctrl._recompute_min_constraint(now) == \
+                self.flat_min(fg_ctrl)
+            now += 1

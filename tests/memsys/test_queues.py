@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.config import fgnvm
 from repro.errors import QueueFullError
+from repro.memsys.address import AddressMapper
 from repro.memsys.queues import TransactionQueue, WriteQueue, oldest_first
 from repro.memsys.request import MemRequest, OpType
 
@@ -113,6 +115,34 @@ class TestForwarding:
         queue.remove(first)
         # The newer write still covers the address.
         assert queue.forwards(0x40)
+
+
+class TestIdentityRemoval:
+    """Requests compare by identity, so removal takes the named object."""
+
+    def test_remove_takes_the_object_not_an_equal_twin(self):
+        mapper = AddressMapper(fgnvm(4, 4).org)
+        address = mapper.encode(bank=2, row=5, col=1)
+
+        def write():
+            return MemRequest(OpType.WRITE, address,
+                              decoded=mapper.decode(address), req_id=7)
+
+        queue = WriteQueue(8, 6, 2)
+        first, twin = write(), write()
+        queue.push(first, 0)
+        queue.push(twin, 0)   # every field equal, same arrival cycle
+        assert first != twin
+        queue.remove(twin)
+        assert [id(r) for r in queue] == [id(first)]
+        assert [id(r) for r in queue.by_bank()[2]] == [id(first)]
+        # The forwarding map never names a request that left the queue.
+        queued = {id(r) for r in queue}
+        assert all(id(r) in queued for r in queue._by_address.values())
+        queue.remove(first)
+        assert len(queue) == 0
+        assert queue.by_bank() == {}
+        assert not queue.forwards(address)
 
 
 def test_oldest_first_sorts_by_arrival_then_id():
