@@ -387,15 +387,17 @@ class FgNvmBank:
         return result
 
     def _issue(self, req: MemRequest, now: int) -> IssueResult:
-        earliest = self.earliest_start(req, now)
+        # One classification serves the check and the commit: the check
+        # is :meth:`earliest_start`'s ``max(now, constraint) > now``.
+        dec = req.decoded
+        sag, cds = self._coords(dec)
+        kind = self._kind(req, sag, cds)
+        earliest = self._constraint(kind, sag, cds)
         if earliest > now:
             raise ProtocolError(
                 f"bank {self.bank_id}: request {req.req_id} issued at {now} "
                 f"but earliest start is {earliest}"
             )
-        dec = req.decoded
-        sag, cds = self._coords(dec)
-        kind = self.classify(req)
         t = self.timing
         self._last_column = now
 

@@ -96,8 +96,11 @@ class TraceCpu:
         self.instructions_retired = 0
         self.loads_issued = 0
         self.stores_issued = 0
-        self.fetch_stall_cycles = 0
-        self.retire_stall_cycles = 0
+        #: Set when only the completion of one of this core's own reads
+        #: can change its state (see :meth:`_sleep_reason`): its ticks
+        #: are no-ops until :meth:`on_read_completed` clears the flag,
+        #: so the simulator skips it meanwhile.
+        self.asleep = False
         self._advance_record()
 
     # -- trace cursor -----------------------------------------------------
@@ -138,8 +141,9 @@ class TraceCpu:
 
     def tick(self, now: int) -> None:
         """One memory-cycle step: fetch into the ROB, then retire."""
-        if self._budget_int is not None:
-            budget = self._budget_int
+        budget_int = self._budget_int
+        if budget_int is not None:
+            budget = budget_int
         else:
             budget_f = self._per_mem_cycle + self._budget_carry
             budget = int(budget_f)
@@ -149,16 +153,45 @@ class TraceCpu:
         retired = self.rob.retire(budget)
         self.instructions_retired += retired
         self.stats.instructions += retired
-        if retired == 0 and self.rob.head_blocked():
-            self.retire_stall_cycles += 1
-            if self.probe.enabled:
+        if (retired < budget and budget_int is not None
+                and self.rob.head_blocked()):
+            # A fractional budget carry advances on every tick (see
+            # :meth:`fully_stalled`), so only integral-ratio cores sleep.
+            reason = self._sleep_reason()
+            if reason is not None:
+                self.asleep = True
+                if self.probe.enabled:
+                    self.probe.emit(Event(EV_CPU_STALL, now, service=reason,
+                                          value=self.owner))
+                return
+        if self.probe.enabled:
+            if retired == 0 and self.rob.head_blocked():
                 self.probe.emit(Event(EV_CPU_STALL, now, service="retire",
                                       value=self.owner))
-        if fetched == 0 and not self._trace_done and self.rob.free_slots == 0:
-            self.fetch_stall_cycles += 1
-            if self.probe.enabled:
+            if (fetched == 0 and not self._trace_done
+                    and self.rob.free_slots == 0):
                 self.probe.emit(Event(EV_CPU_STALL, now, service="fetch",
                                       value=self.owner))
+
+    def _sleep_reason(self) -> Optional[str]:
+        """Why the next tick is a no-op that only an own read can end.
+
+        Called with the ROB head a read in flight, so retirement waits
+        for that read.  The front end is stuck too when the trace is
+        done, the ROB is full, or the next record is a read with every
+        MSHR taken — none of which polls the controller, and each of
+        which only a completion of this core's reads can change.  A
+        core refused by a full queue is not asleep: its retries are
+        counted on every visited cycle.
+        """
+        if self._trace_done:
+            return "drained"
+        if self.rob.free_slots == 0:
+            return "rob_full"
+        if (self._gap_left == 0 and self._cur_is_read
+                and self._mshrs_in_use >= self.params.mshr_entries):
+            return "mshr"
+        return None
 
     def _fetch(self, now: int, budget: int) -> int:
         """Bring up to ``budget`` instructions into the window."""
@@ -206,6 +239,7 @@ class TraceCpu:
 
     def on_read_completed(self, count: int = 1) -> None:
         """Free MSHRs when read data returns (called by the simulator)."""
+        self.asleep = False
         self._mshrs_in_use -= count
         if self._mshrs_in_use < 0:
             raise ValueError("MSHR underflow: completion without issue")
@@ -218,8 +252,11 @@ class TraceCpu:
         True when retirement is blocked on the head load and the front
         end cannot fetch (ROB full, MSHRs exhausted, queue full, or the
         next record is an unissuable memory access with no gap left).
+        Never true with a non-integral clock ratio: the fractional
+        budget carry advances on every cycle's tick, so skipping any
+        cycle of such a core would change its later budgets.
         """
-        if not self.rob.head_blocked():
+        if self._budget_int is None or not self.rob.head_blocked():
             return False
         if self._trace_done or not self._have_current:
             return True

@@ -19,7 +19,7 @@ blocked, reproducing the read/write interference the paper attacks.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..errors import SimulationError
@@ -236,8 +236,15 @@ class MemoryController:
 
     # -- per-cycle operation --------------------------------------------------
 
-    def tick(self, now: int) -> List[MemRequest]:
+    def tick(self, now: int) -> Sequence[MemRequest]:
         """Advance one cycle: complete transfers, then issue commands."""
+        if now < self._quiet_until and (
+                not self._completions or self._completions[0][0] > now):
+            # Not due: nothing completes, and the issue phase rests on
+            # its memo.  Occupancy — hence the drain phase — is what the
+            # pass that installed the memo saw, since every push, issue
+            # and flush resets it, so there is no drain edge to report.
+            return ()
         completed = self._pop_completions(now)
         if self.profiler.enabled:
             self.profiler.enter(PH_CTRL_SCHED)
@@ -261,9 +268,10 @@ class MemoryController:
                     service=req.service_kind, channel=self.channel,
                     value=req.latency,
                 ))
-            if self.tracer.enabled:
+            if self.tracer.enabled and req.req_id in self.tracer.active:
+                # Only sampled requests have a span to finish.
                 span = self.tracer.finish(req)
-                if span is not None and self.probe.enabled:
+                if self.probe.enabled:
                     emit_span(self.probe, span)
             done.append(req)
         if read_latencies:

@@ -12,6 +12,8 @@ the controller's next completion or earliest-issuable cycle — a large
 win given PCM's 60-cycle write pulses.  The set of simulated cycles is
 identical either way, which is what keeps results bit-identical to an
 unskipped run (see docs/performance.md, "Hot-path architecture").
+Within a visited cycle, a core asleep on its own in-flight read is not
+ticked until that read returns.
 
 End of run: every trace is fully retired, the controller has drained
 every queued write (a flush is forced once the last core finishes), and
@@ -131,10 +133,8 @@ class Simulator:
         active = self._active
         stats = self.stats
         epochs = self._epochs
-        # Progress tracking as plain ints (no per-cycle tuple builds).
-        last_instructions = stats.instructions
-        last_commands = controller.commands_issued()
-        last_pending = controller.pending
+        # No-progress guard state, sampled once per deadlock window.
+        last_progress = self._progress_marker()
         last_progress_cycle = 0
         prof = self.profiler
         profiling = prof.enabled
@@ -166,6 +166,8 @@ class Simulator:
                 prof.enter(PH_CPU_TICK)
             finished = False
             for cpu in active:
+                if cpu.asleep:
+                    continue  # its tick is a no-op until a read returns
                 cpu.tick(self.now)
                 if cpu.done():
                     finished = True
@@ -203,22 +205,18 @@ class Simulator:
                 if not controller.busy():
                     break
 
-            instructions = stats.instructions
-            commands = controller.commands_issued()
-            pending = controller.pending
-            if (instructions != last_instructions
-                    or commands != last_commands
-                    or pending != last_pending):
-                last_instructions = instructions
-                last_commands = commands
-                last_pending = pending
+            if self.now - last_progress_cycle > sim.deadlock_cycles:
+                # Sampled lazily: a wedged run trips at most one window
+                # later than a per-visit check would notice it.
+                progress = self._progress_marker()
+                if progress == last_progress:
+                    raise SimulationError(
+                        f"no progress for {sim.deadlock_cycles} cycles at "
+                        f"cycle {self.now} (config {self.config.name}); "
+                        f"pending={controller.pending}"
+                    )
+                last_progress = progress
                 last_progress_cycle = self.now
-            elif self.now - last_progress_cycle > sim.deadlock_cycles:
-                raise SimulationError(
-                    f"no progress for {sim.deadlock_cycles} cycles at "
-                    f"cycle {self.now} (config {self.config.name}); "
-                    f"pending={controller.pending}"
-                )
 
             if profiling:
                 prof.enter(PH_CLOCK)
@@ -256,6 +254,19 @@ class Simulator:
             prof.exit(PH_RUN)
         return result
 
+    def _progress_marker(self) -> tuple:
+        """Retired instructions, issued commands and pending requests.
+
+        The per-core retired counts survive the warm-up statistics
+        reset, so a run that retires or issues anything between two
+        samples always shows a different marker.
+        """
+        return (
+            sum(cpu.instructions_retired for cpu in self.cpus),
+            self.controller.commands_issued(),
+            self.controller.pending,
+        )
+
     # -- clock advance ------------------------------------------------------
 
     def _next_cycle(self) -> int:
@@ -265,13 +276,13 @@ class Simulator:
         event)``.  Whenever any core can make progress its next visible
         event is simply ``now + 1``, which bounds the min from below —
         so the controller horizon query is short-circuited and the clock
-        steps by one.  When every core is done or blocked on memory, the
-        CPU term drops out and the clock jumps straight to the
-        controller's next completion or earliest-issuable cycle.
+        steps by one.  When every core is done, asleep or blocked on
+        memory, the CPU term drops out and the clock jumps straight to
+        the controller's next completion or earliest-issuable cycle.
         """
         naive = self.now + 1
         for cpu in self._active:
-            if not cpu.fully_stalled():
+            if not cpu.asleep and not cpu.fully_stalled():
                 return naive  # next CPU event is the very next cycle
         horizon = self.controller.next_event_after(self.now)
         if horizon is None:

@@ -10,7 +10,7 @@ facade is what makes the ``org.channels`` knob real.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..config.params import SystemConfig
 from ..memsys.address import AddressMapper
@@ -75,7 +75,7 @@ class MemorySystem:
 
     # -- per-cycle operation ---------------------------------------------------
 
-    def tick(self, now: int) -> List[MemRequest]:
+    def tick(self, now: int) -> Sequence[MemRequest]:
         if self._single is not None:
             return self._single.tick(now)
         completed: List[MemRequest] = []

@@ -127,3 +127,96 @@ class TestProgressQueries:
         cpu, _, _, _ = build(trace)
         with pytest.raises(ValueError):
             cpu.on_read_completed(1)
+
+
+def deliver_next_read(cpu, controller, start=1, limit=20_000):
+    """Tick only the controller until one of ``cpu``'s reads returns,
+    hand the completion to the core, and return that cycle."""
+    for cycle in range(start, start + limit):
+        reads = sum(1 for r in controller.tick(cycle) if r.is_read)
+        if reads:
+            cpu.on_read_completed(reads)
+            return cycle
+    raise AssertionError("no read completed")
+
+
+class TestSleep:
+    """A core sleeps only where an own read completion is the one thing
+    that can change it, and that completion wakes it."""
+
+    def assert_sleeps_and_wakes(self, cpu, controller):
+        assert cpu.asleep
+        assert cpu.fully_stalled()
+        cycle = deliver_next_read(cpu, controller)
+        assert not cpu.asleep
+        return cycle
+
+    def test_drained_trace_sleeps_on_its_last_read(self):
+        cpu, controller, _, _ = build([TraceRecord(0, OpType.READ, 0x40)])
+        cpu.tick(0)
+        assert cpu.trace_done and cpu._sleep_reason() == "drained"
+        cycle = self.assert_sleeps_and_wakes(cpu, controller)
+        cpu.tick(cycle)
+        assert cpu.done() and not cpu.asleep
+
+    def test_full_rob_sleeps(self):
+        cfg = baseline_nvm()
+        cfg.cpu.rob_entries = 8
+        trace = [TraceRecord(0, OpType.READ, 0x40),
+                 TraceRecord(50, OpType.READ, 0x80)]
+        cpu, controller, _, _ = build(trace, cfg)
+        cpu.tick(0)  # the load plus 7 gap instructions fill the ROB
+        assert cpu.rob.free_slots == 0
+        assert cpu._sleep_reason() == "rob_full"
+        cycle = self.assert_sleeps_and_wakes(cpu, controller)
+        cpu.tick(cycle)  # the load retires, the gap refills the window
+        assert cpu.instructions_retired > 0
+
+    def test_exhausted_mshrs_sleep(self):
+        cfg = baseline_nvm()
+        cfg.cpu.mshr_entries = 2
+        trace = [TraceRecord(0, OpType.READ, i * 0x100000) for i in range(8)]
+        cpu, controller, _, _ = build(trace, cfg)
+        cpu.tick(0)
+        assert cpu.loads_issued == 2
+        assert cpu._sleep_reason() == "mshr"
+        cycle = self.assert_sleeps_and_wakes(cpu, controller)
+        cpu.tick(cycle)  # a freed MSHR admits the next read
+        assert cpu.loads_issued == 3
+
+    def test_full_read_queue_keeps_ticking(self):
+        cfg = baseline_nvm()
+        cfg.controller.read_queue_entries = 2
+        trace = [TraceRecord(0, OpType.READ, i * 0x100000) for i in range(8)]
+        cpu, controller, stats, _ = build(trace, cfg)
+        for cycle in range(3):
+            cpu.tick(cycle)
+            assert cpu.fully_stalled() and not cpu.asleep
+            # Each visit's admission retry is a counted refusal.
+            assert stats.read_queue_full_events == cycle + 1
+
+    def test_full_write_queue_keeps_ticking(self):
+        cfg = baseline_nvm()
+        cfg.controller.write_queue_entries = 8
+        cfg.controller.write_high_watermark = 6
+        cfg.controller.write_low_watermark = 2
+        trace = [TraceRecord(0, OpType.READ, 0x40)] + [
+            TraceRecord(0, OpType.WRITE, i * 64) for i in range(1, 20)
+        ]
+        cpu, controller, stats, _ = build(trace, cfg)
+        cpu.tick(0)
+        assert cpu.rob.head_blocked() and cpu.fully_stalled()
+        assert not cpu.asleep
+        assert stats.write_queue_full_events == 1
+
+    def test_non_integral_clock_ratio_keeps_ticking(self):
+        cfg = baseline_nvm()
+        # 3.05 GHz x 2.5 ns x width 4 = 30.5 instructions per memory
+        # cycle, so the retire budget carries a fraction every tick.
+        cfg.cpu.clock_ghz = 3.05
+        cpu, _, _, _ = build([TraceRecord(0, OpType.READ, 0x40)], cfg)
+        assert cpu._budget_int is None
+        cpu.tick(0)
+        assert cpu._sleep_reason() == "drained"
+        # Its carry moves every cycle: neither asleep nor skippable.
+        assert not cpu.asleep and not cpu.fully_stalled()

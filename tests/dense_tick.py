@@ -33,9 +33,23 @@ def core_cases(values):
 
 
 def dense(simulator):
-    """``simulator`` with clock skipping off: one cycle per iteration."""
+    """``simulator`` with clock skipping off: one cycle per iteration,
+    every core ticked on every cycle (no core is ever left asleep)."""
     simulator._next_cycle = lambda: simulator.now + 1
+    for cpu in simulator.cpus:
+        cpu.tick = _insomniac(cpu)
     return simulator
+
+
+def _insomniac(cpu):
+    """``cpu.tick`` that clears the sleep flag the tick may set."""
+    tick = cpu.tick
+
+    def tick_awake(now):
+        tick(now)
+        cpu.asleep = False
+
+    return tick_awake
 
 
 def build(config, traces):

@@ -5,6 +5,7 @@ import pytest
 from repro.config import baseline_nvm, fgnvm
 from repro.memsys.controller import MemoryController
 from repro.memsys.request import MemRequest, OpType, RequestState
+from repro.memsys.scheduler import SCHEDULER_ENV
 from repro.memsys.stats import StatsCollector
 
 
@@ -223,6 +224,119 @@ class TestQueueFullAccounting:
         assert stalls[0].cycle == 42
         assert stalls[0].op == "R"
         assert stalls[0].value == len(ctrl.read_queue)
+
+
+class TestNotDueTick:
+    """A tick below the quiet memo with no completion due returns at
+    once, and that early return is invisible."""
+
+    @pytest.fixture(autouse=True)
+    def incremental(self, monkeypatch):
+        # Only the incremental scheduler installs the quiet memo.
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+
+    @staticmethod
+    def snapshot(ctrl):
+        return (
+            ctrl.stats.as_dict(), list(ctrl._completions),
+            ctrl.read_queue.entries(), ctrl.write_queue.entries(),
+            ctrl._quiet_until, ctrl._was_draining, ctrl._minc_dirty,
+            ctrl.command_bus.commands_issued,
+            [(r.req_id, r.state) for r in ctrl.read_queue],
+        )
+
+    def test_not_due_tick_is_empty_and_changes_nothing(self):
+        from repro.obs import ListSink, make_probe
+
+        cfg = baseline_nvm()
+        cfg.org.rows_per_bank = 256
+        sink = ListSink()
+        ctrl = MemoryController(cfg, StatsCollector(),
+                                probe=make_probe(sink))
+        # Two rows of one bank: the second read waits for the first.
+        first = MemRequest(OpType.READ, ctrl.mapper.encode(bank=0, row=1))
+        second = MemRequest(OpType.READ, ctrl.mapper.encode(bank=0, row=2))
+        ctrl.enqueue(first, 0)
+        ctrl.enqueue(second, 0)
+        ctrl.tick(0)
+        ctrl.tick(1)
+        assert second.state is RequestState.QUEUED
+        now = 2
+        assert now < ctrl._quiet_until and ctrl._completions[0][0] > now
+        before, seen = self.snapshot(ctrl), len(sink.events)
+        assert ctrl.tick(now) == ()
+        assert self.snapshot(ctrl) == before
+        assert len(sink.events) == seen
+
+    def test_flush_edge_is_reported_while_the_memo_is_live(self):
+        from repro.obs import ListSink, make_probe
+        from repro.obs.events import EV_DRAIN
+
+        def drive(restless):
+            sink = ListSink()
+            ctrl = controller_for(fgnvm(4, 4))
+            ctrl.probe = make_probe(sink)
+            if restless:
+                tick = ctrl.tick
+
+                def tick_without_memo(now):
+                    ctrl._quiet_until = 0
+                    return tick(now)
+
+                ctrl.tick = tick_without_memo
+            for row in (1, 2):
+                ctrl.enqueue(MemRequest(
+                    OpType.WRITE, ctrl.mapper.encode(bank=0, row=row)), 0)
+            for cycle in range(5):
+                ctrl.tick(cycle)
+            if not restless:
+                # The second write waits on the first: the memo is live.
+                assert ctrl._quiet_until > 5 and len(ctrl.write_queue) == 1
+            ctrl.begin_flush()
+            for cycle in range(5, 1000):
+                ctrl.tick(cycle)
+            assert not ctrl.busy()
+            return [(e.cycle, e.value) for e in sink.events
+                    if e.kind == EV_DRAIN]
+
+        resting = drive(False)
+        assert resting[0] == (5, 1)
+        assert resting == drive(True)
+
+    def test_drain_events_match_a_run_that_never_rests(self):
+        """The early return skips the drain-edge check; a run whose
+        memo is cleared before every tick sees every edge."""
+        from repro.obs import ListSink, make_probe
+        from repro.obs.events import EV_DRAIN
+        from repro.sim.multicore import isolate_address_spaces
+        from repro.sim.simulator import Simulator
+        from repro.workloads.synthetic import multi_stream_kernel
+
+        trace = isolate_address_spaces([multi_stream_kernel(
+            400, streams=4, gap=2, write_fraction=0.6, seed=3)])[0]
+
+        def run(restless):
+            cfg = fgnvm(8, 2)
+            cfg.org.rows_per_bank = 256
+            sink = ListSink()
+            simulator = Simulator(cfg, trace, probe=make_probe(sink))
+            ctrl = simulator.controller.controllers[0]
+            if restless:
+                tick = ctrl.tick
+
+                def tick_without_memo(now):
+                    ctrl._quiet_until = 0
+                    return tick(now)
+
+                ctrl.tick = tick_without_memo
+            result = simulator.run()
+            drains = [(e.cycle, e.value) for e in sink.events
+                      if e.kind == EV_DRAIN]
+            return result.summary(), drains
+
+        resting, restless = run(False), run(True)
+        assert resting[1], "the trace must cross the drain watermarks"
+        assert resting == restless
 
 
 class TestBankSummaryMemo:

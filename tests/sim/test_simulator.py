@@ -155,6 +155,107 @@ class TestEventSkipping:
         assert result.instructions == 100_002
 
 
+def small_window(cfg, rob=16, mshrs=2):
+    """``cfg`` with a window that blocks on nearly every load."""
+    cfg = small(cfg)
+    cfg.cpu.rob_entries = rob
+    cfg.cpu.mshr_entries = mshrs
+    return cfg
+
+
+def sleep_log(simulator):
+    """Record ``(cycle, core, reason)`` each time a core falls asleep
+    and ``(cycle, core)`` for each tick that leaves a core awake."""
+    asleep, awake = [], []
+    for cpu in simulator.cpus:
+        tick = cpu.tick
+
+        def logged(now, cpu=cpu, tick=tick):
+            tick(now)
+            if cpu.asleep:
+                asleep.append((now, cpu.owner, cpu._sleep_reason()))
+            else:
+                awake.append((now, cpu.owner))
+
+        cpu.tick = logged
+    return asleep, awake
+
+
+class TestSleepingCores:
+    """Cores asleep on their own reads are not ticked; the dense oracle
+    ticks every core every cycle and must agree."""
+
+    @pytest.mark.parametrize("cores", CORE_COUNTS)
+    @pytest.mark.parametrize("rob, mshrs, gap", [(16, 2, 3), (96, 2, 40)])
+    def test_small_window_matches_dense(self, rob, mshrs, gap, cores):
+        """The long-gap case leaves gap instructions unfetched behind
+        exhausted MSHRs, where the core must not sleep."""
+        traces = isolate_address_spaces([
+            multi_stream_kernel(150, streams=4, gap=gap, write_fraction=0.2,
+                                seed=21 + core)
+            for core in range(cores)
+        ])
+        make = lambda: build(small_window(fgnvm(8, 2), rob, mshrs), traces)
+        simulator = make()
+        asleep, _ = sleep_log(simulator)
+        simulator.run()
+        assert {reason for _, _, reason in asleep} == {"mshr", "rob_full", "drained"}
+        assert_matches_dense(make)
+
+    @pytest.mark.parametrize("cores", CORE_COUNTS)
+    def test_write_heavy_small_window_matches_dense(self, cores):
+        traces = write_heavy(cores, gap=2)
+        assert_matches_dense(
+            lambda: build(small_window(baseline_nvm(), rob=16, mshrs=4),
+                          traces),
+            fills_queues=True,
+        )
+
+    @pytest.mark.parametrize("cores", CORE_COUNTS)
+    def test_non_integral_clock_ratio_matches_dense(self, cores):
+        def config():
+            cfg = small_window(fgnvm(4, 4))
+            # 0.5 GHz x 2.5 ns x width 1 = 1.25 instructions per memory
+            # cycle: a budget small enough for the carry to bind.
+            cfg.cpu.clock_ghz = 0.5
+            cfg.cpu.retire_width = 1
+            return cfg
+
+        traces = write_heavy(cores, gap=3)
+        simulator = build(config(), traces)
+        asleep, _ = sleep_log(simulator)
+        simulator.run()
+        assert asleep == []
+        assert_matches_dense(lambda: build(config(), traces))
+
+    def test_probe_counts_sleeps_and_per_visit_stalls(self):
+        from repro.obs import ListSink, make_probe
+        from repro.obs.events import EV_CPU_STALL
+
+        traces = write_heavy(1, gap=2)
+        plain = simulate(queue_filling("fgnvm"), traces[0])
+        sink = ListSink()
+        probed = Simulator(queue_filling("fgnvm"), traces[0],
+                           probe=make_probe(sink))
+        asleep, awake = sleep_log(probed)
+        result = probed.run()
+        assert result.summary() == plain.summary()
+        assert result.stats.as_dict() == plain.stats.as_dict()
+
+        stalls = [e for e in sink.events if e.kind == EV_CPU_STALL]
+        sleeps = [(e.cycle, e.value, e.service) for e in stalls
+                  if e.service not in ("retire", "fetch")]
+        # One event per fall asleep, naming its reason ...
+        assert sleeps == asleep and sleeps
+        # ... and per-visit stalls only from cores that stayed awake,
+        # here a core refused by a full queue.
+        visits = [(e.cycle, e.value) for e in stalls
+                  if e.service in ("retire", "fetch")]
+        assert visits and set(visits) <= set(awake)
+        assert result.stats.read_queue_full_events + \
+            result.stats.write_queue_full_events > 0
+
+
 class TestGuards:
     def test_max_cycles_guard(self):
         cfg = small(baseline_nvm())
